@@ -17,6 +17,7 @@ import (
 
 	"decentmon/internal/automaton"
 	"decentmon/internal/dist"
+	"decentmon/internal/stateset"
 	"decentmon/internal/vclock"
 )
 
@@ -49,7 +50,7 @@ type Monitor struct {
 
 type node struct {
 	cut    vclock.VC
-	states stateset
+	states stateset.Set
 }
 
 type waitKey struct{ proc, sn int }
@@ -70,9 +71,9 @@ func New(mon *automaton.Monitor, pm *dist.PropMap, n int, init dist.GlobalState)
 		conclusive:            map[int]bool{},
 		firstConclusiveEvents: -1,
 	}
-	start := &node{cut: vclock.New(n), states: newStateset(mon.NumStates())}
+	start := &node{cut: vclock.New(n), states: stateset.New(mon.NumStates())}
 	q0 := mon.Step(mon.Initial(), pm.Letter(init))
-	start.states.set(q0)
+	start.states.Add(q0)
 	m.nodes[start.cut.Key()] = start
 	m.nodesCreated = 1
 	if mon.Final(q0) {
@@ -138,19 +139,19 @@ func (m *Monitor) expandOn(nd *node, p int) {
 	succ, ok := m.nodes[key]
 	fresh := !ok
 	if !ok {
-		succ = &node{cut: cut, states: newStateset(m.mon.NumStates())}
+		succ = &node{cut: cut, states: stateset.New(m.mon.NumStates())}
 		m.nodes[key] = succ
 		m.nodesCreated++
 	}
 	letter := m.letterAt(cut)
 	changed := false
 	for st := 0; st < m.mon.NumStates(); st++ {
-		if !nd.states.has(st) {
+		if !nd.states.Has(st) {
 			continue
 		}
 		nq := m.mon.Step(st, letter)
-		if !succ.states.has(nq) {
-			succ.states.set(nq)
+		if !succ.states.Has(nq) {
+			succ.states.Add(nq)
 			changed = true
 			if m.mon.Final(nq) {
 				m.recordConclusive(nq)
@@ -222,7 +223,7 @@ func (m *Monitor) Finish() (*Result, error) {
 		FirstConclusiveEvents: m.firstConclusiveEvents,
 	}
 	for st := 0; st < m.mon.NumStates(); st++ {
-		if fin.states.has(st) {
+		if fin.states.Has(st) {
 			res.Verdicts[m.mon.VerdictOf(st)] = true
 		}
 	}
@@ -279,11 +280,3 @@ func RunStreamContext(ctx context.Context, src dist.EventSource, mon *automaton.
 	// (never-arriving) event; they are complete as-is.
 	return m.Finish()
 }
-
-// stateset mirrors the small bitset used elsewhere.
-type stateset []uint64
-
-func newStateset(n int) stateset { return make(stateset, (n+63)/64) }
-
-func (s stateset) set(i int)      { s[i/64] |= 1 << (i % 64) }
-func (s stateset) has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }

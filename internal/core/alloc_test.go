@@ -6,6 +6,7 @@ import (
 	"decentmon/internal/automaton"
 	"decentmon/internal/dist"
 	"decentmon/internal/ltl"
+	"decentmon/internal/stateset"
 	"decentmon/internal/transport"
 	"decentmon/internal/vclock"
 )
@@ -74,16 +75,16 @@ func TestAllocsLetterTable(t *testing.T) {
 // TestAllocsStateset gates the word-wide bitset operations the view step
 // leans on.
 func TestAllocsStateset(t *testing.T) {
-	a, b := newStateset(130), newStateset(130)
-	a.set(0)
-	a.set(64)
-	a.set(129)
+	a, b := stateset.New(130), stateset.New(130)
+	a.Add(0)
+	a.Add(64)
+	a.Add(129)
 	allocs := testing.AllocsPerRun(200, func() {
-		b.clear()
-		b.or(a)
+		b.Clear()
+		b.Or(a)
 		n := 0
-		b.forEach(func(int) { n++ })
-		if n != 3 || b.empty() {
+		b.ForEach(func(int) { n++ })
+		if n != 3 || b.Empty() {
 			t.Fatal("bitset mismatch")
 		}
 	})
@@ -142,4 +143,43 @@ func TestAllocsSteadyStateStep(t *testing.T) {
 		t.Errorf("steady-state step allocates %.1f objects per event, budget 4", allocs)
 	}
 	t.Logf("steady-state step: %.2f allocs/event", allocs)
+}
+
+// TestAllocsSlicedSweep gates the sliced box sweep's frontier storage: with
+// pooled slabs and an integer-keyed index, a finalization-style sweep
+// (pivots off) allocates a fixed handful of objects — the result, its
+// conclusive cut, two small state sets and the start letter's global state
+// — however many nodes it visits.
+func TestAllocsSlicedSweep(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the frontier pool drops items at random under -race")
+	}
+	const n = 24
+	support := make([]int, n-1)
+	for j := range support {
+		support[j] = j
+	}
+	// Measured 7 per sweep at both sizes (93 and 369 projected nodes).
+	var allocs []float64
+	for _, k := range []int{4, 16} {
+		f := chainFixture(t, n, k)
+		lo, hi := vclock.New(n), f.frontier()
+		nodes := (n-1)*k + 1
+		a := testing.AllocsPerRun(50, func() {
+			res, err := exploreBox(f.mon, f.know, f.lt, f.init, lo, hi, 1<<21, support, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.nodes != nodes {
+				t.Fatalf("sweep visited %d nodes, want %d", res.nodes, nodes)
+			}
+		})
+		if a > 7 {
+			t.Errorf("sliced sweep over %d nodes allocates %.1f objects, budget 7", nodes, a)
+		}
+		allocs = append(allocs, a)
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("sliced sweep allocations depend on node count: %v objects at 93 and 369 nodes", allocs)
+	}
 }

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/bits"
 	"strconv"
+	"sync"
 
 	"decentmon/internal/automaton"
+	"decentmon/internal/stateset"
 	"decentmon/internal/vclock"
 )
 
@@ -15,7 +17,8 @@ type boxResult struct {
 	finalStates []int
 	// pivots are the (state, cut) pairs at which an outgoing transition
 	// fired strictly inside the box (the "pivot global states" of §4.5.2);
-	// the monitor forks a global view at each.
+	// the monitor forks a global view at each. The sliced sweep leaves it
+	// empty when its caller asked for no pivots.
 	pivots []pivot
 	// conclusive are the conclusive states hit anywhere in the box, with
 	// the first cut each was discovered at.
@@ -46,7 +49,11 @@ type pivot struct {
 // maxNodes bounds the exploration; exceeding it returns an error (the
 // monitor surfaces it — under slicing the bound counts projected nodes, so
 // workloads whose full-width region explodes stay far below it).
-func exploreBox(mon *automaton.Monitor, know *knowledge, lt *letterTable, init stateset, lo, hi vclock.VC, maxNodes int, support []int) (*boxResult, error) {
+//
+// pivots says whether the caller consumes boxResult.pivots: finalization
+// does not, and the sliced sweep then skips the pivot bookkeeping (the exact
+// DP always records them).
+func exploreBox(mon *automaton.Monitor, know *knowledge, lt *letterTable, init stateset.Set, lo, hi vclock.VC, maxNodes int, support []int, pivots bool) (*boxResult, error) {
 	for p := 0; p < know.n; p++ {
 		if lo[p] > hi[p] {
 			return nil, fmt.Errorf("core: box lower bound %v above upper %v", lo, hi)
@@ -58,7 +65,7 @@ func exploreBox(mon *automaton.Monitor, know *knowledge, lt *letterTable, init s
 	if support == nil {
 		return exploreBoxExact(mon, know, lt, init, lo, hi, maxNodes)
 	}
-	return exploreBoxSliced(mon, know, lt, init, lo, hi, maxNodes, support)
+	return exploreBoxSliced(mon, know, lt, init, lo, hi, maxNodes, support, pivots)
 }
 
 // exploreBoxExact runs the exact state-set dynamic program over every
@@ -71,16 +78,16 @@ func exploreBox(mon *automaton.Monitor, know *knowledge, lt *letterTable, init s
 // never materializes a GlobalState per node; map lookups go through a scratch
 // key buffer (m[string(buf)] compiles to an allocation-free lookup), so only
 // node *insertion* allocates.
-func exploreBoxExact(mon *automaton.Monitor, know *knowledge, lt *letterTable, init stateset, lo, hi vclock.VC, maxNodes int) (*boxResult, error) {
+func exploreBoxExact(mon *automaton.Monitor, know *knowledge, lt *letterTable, init stateset.Set, lo, hi vclock.VC, maxNodes int) (*boxResult, error) {
 	n := know.n
 	type node struct {
 		cut    vclock.VC
-		states stateset
+		states stateset.Set
 		letter uint32
 	}
 	nStates := mon.NumStates()
 	index := map[string]*node{}
-	start := &node{cut: lo.Clone(), states: newStateset(nStates), letter: lt.letter(know.stateAt(lo))}
+	start := &node{cut: lo.Clone(), states: stateset.New(nStates), letter: lt.letter(know.stateAt(lo))}
 	copy(start.states, init)
 	index[string(lo.AppendKey(nil))] = start
 	queue := []*node{start}
@@ -88,7 +95,7 @@ func exploreBoxExact(mon *automaton.Monitor, know *knowledge, lt *letterTable, i
 	res := &boxResult{nodes: 1}
 	seenConcl := map[int]bool{}
 	seenPivot := map[string]bool{}
-	init.forEach(func(q int) {
+	init.ForEach(func(q int) {
 		if mon.Final(q) {
 			seenConcl[q] = true
 		}
@@ -111,7 +118,7 @@ func exploreBoxExact(mon *automaton.Monitor, know *knowledge, lt *letterTable, i
 			if !ok {
 				succ = &node{
 					cut:    nd.cut.Clone(),
-					states: newStateset(nStates),
+					states: stateset.New(nStates),
 					letter: lt.update(nd.letter, p, know.state(p, nd.cut[p])),
 				}
 				index[string(keyBuf)] = succ
@@ -129,7 +136,7 @@ func exploreBoxExact(mon *automaton.Monitor, know *knowledge, lt *letterTable, i
 					st := w*64 + bits.TrailingZeros64(word)
 					word &= word - 1
 					nq := mon.Step(st, letter)
-					succ.states.set(nq)
+					succ.states.Add(nq)
 					if nq != st {
 						// An outgoing transition fired: a pivot global state.
 						pivotBuf = strconv.AppendInt(pivotBuf[:0], int64(nq), 10)
@@ -152,7 +159,7 @@ func exploreBoxExact(mon *automaton.Monitor, know *knowledge, lt *letterTable, i
 	if !ok {
 		return nil, fmt.Errorf("core: box upper cut %v unreachable from %v", hi, lo)
 	}
-	top.states.forEach(func(st int) {
+	top.states.ForEach(func(st int) {
 		res.finalStates = append(res.finalStates, st)
 	})
 	return res, nil
@@ -178,221 +185,222 @@ func exploreBoxExact(mon *automaton.Monitor, know *knowledge, lt *letterTable, i
 // support events; it is determined by the projected cut alone (so merging
 // paths agree on it), sits inside [lo, hi], and is ≥ lo pointwise, so pivot
 // cuts handed back to the monitor respect the knowledge-GC need-floor and
-// round-trip against full-width clocks.
+// round-trip against full-width clocks. Its support components are the
+// projected cut itself, which is what the frontier index keys on.
 //
 // Antichain + rank synchrony: the sweep keeps one frontier per rank (rank =
-// number of included support events), keyed by projected cut. A path whose
+// number of included support events), indexed by projected cut. A path whose
 // stateset is a subset of another's at the same projected cut is subsumed by
 // the union-merge and never re-expanded, and conclusive states — absorbing by
 // construction — are pulled out of the frontier into one accumulated set and
 // OR-ed back into the final states at the top. Memory is O(two ranks of
-// frontier width) instead of the full region map.
-func exploreBoxSliced(mon *automaton.Monitor, know *knowledge, lt *letterTable, init stateset, lo, hi vclock.VC, maxNodes int, support []int) (*boxResult, error) {
+// frontier width) instead of the full region map, and it is recycled: the
+// two ranks live in pooled flat storage, so a sweep allocates nothing per
+// node — only the cuts it returns are cloned out.
+func exploreBoxSliced(mon *automaton.Monitor, know *knowledge, lt *letterTable, init stateset.Set, lo, hi vclock.VC, maxNodes int, support []int, pivots bool) (*boxResult, error) {
+	fr := frontierPool.Get().(*sweepFrontiers)
+	defer frontierPool.Put(fr)
 	nStates := mon.NumStates()
 	res := &boxResult{nodes: 1}
-	concl := newStateset(nStates) // conclusive states absorbed out of the frontier
-	seenConcl := map[int]bool{}
-	seenPivot := map[string]bool{}
+	concl := stateset.New(nStates)     // conclusive states absorbed out of the frontier
+	seenConcl := stateset.New(nStates) // conclusive states already reported
 
-	type node struct {
-		cut    vclock.VC // full-width lift of the projected cut
-		states stateset
-		letter uint32
-	}
-	start := &node{cut: lo.Clone(), states: newStateset(nStates), letter: lt.letter(know.stateAt(lo))}
-	init.forEach(func(q int) {
+	cur, next := &fr[0], &fr[1]
+	cur.reset(know.n, len(concl), 1)
+	_, slot := cur.find(lo, -1, support)
+	start := cur.add(slot, lo, -1, nil, lt.letter(know.stateAt(lo)))
+	startStates := cur.set(start)
+	init.ForEach(func(q int) {
 		if mon.Final(q) {
 			// Absorbing: keep out of the frontier (never re-reported, like the
 			// exact DP's seenConcl seed) but present in the final states.
-			seenConcl[q] = true
-			concl.set(q)
+			seenConcl.Add(q)
+			concl.Add(q)
 			return
 		}
-		start.states.set(q)
+		startStates.Add(q)
 	})
 
 	ranks := 0
 	for _, j := range support {
 		ranks += hi[j] - lo[j]
 	}
-	// Ordered frontier list + dedup map per rank: list order keeps discovery
+	// Node order within a rank is discovery order, which keeps discovery
 	// cuts deterministic (the exact DP's FIFO queue is rank-synchronous too).
-	curList := []*node{start}
-	curIdx := map[string]*node{string(appendSupportKey(nil, lo, support)): start}
-
-	var keyBuf, pivotBuf []byte
 	for r := 0; r < ranks; r++ {
-		var nextList []*node
-		nextIdx := make(map[string]*node, len(curList)*len(support))
-		for _, nd := range curList {
+		// A rank holds at most one successor per (node, support process)
+		// pair, and never more nodes than the budget has left.
+		next.reset(know.n, len(concl), min(cur.size()*len(support), maxNodes-res.nodes+1))
+		for i := 0; i < cur.size(); i++ {
+			cut, states, letter := cur.lift(i), cur.set(i), cur.letters[i]
 			for _, p := range support {
-				if nd.cut[p] >= hi[p] {
+				if cut[p] >= hi[p] {
 					continue
 				}
-				if !know.projectedStep(nd.cut, p, support) {
+				if !know.projectedStep(cut, p, support) {
 					continue
 				}
-				e := know.event(p, nd.cut[p]+1)
-				// Probe the successor's projected key without materializing.
-				keyBuf = keyBuf[:0]
-				for _, j := range support {
-					v := nd.cut[j]
-					if j == p {
-						v++
-					}
-					keyBuf = strconv.AppendInt(keyBuf, int64(v), 10)
-					keyBuf = append(keyBuf, '.')
-				}
-				succ, ok := nextIdx[string(keyBuf)]
-				if !ok {
-					// Build the lift: bump p, then join the event's clock.
-					// Support components are already covered (projectedStep),
-					// so the join only ever advances non-support components.
-					cut := nd.cut.Clone()
-					cut[p]++
-					for j, v := range e.VC {
-						if v > cut[j] {
-							cut[j] = v
-						}
-					}
-					succ = &node{
-						cut:    cut,
-						states: newStateset(nStates),
-						letter: lt.update(nd.letter, p, e.State),
-					}
-					nextIdx[string(keyBuf)] = succ
-					nextList = append(nextList, succ)
+				e := know.event(p, cut[p]+1)
+				s, slot := next.find(cut, p, support)
+				if s < 0 {
+					// The lift bumps p and joins the event's clock; support
+					// components are already covered (projectedStep), so
+					// the join only ever advances non-support components.
+					s = next.add(slot, cut, p, e.VC, lt.update(letter, p, e.State))
 					res.nodes++
 					if res.nodes > maxNodes {
 						return nil, fmt.Errorf("core: box exploration exceeded %d nodes between %v and %v", maxNodes, lo, hi)
 					}
 				}
-				letter := succ.letter
-				for w, word := range nd.states {
+				succ, succCut, pivoted, succLetter := next.set(s), next.lift(s), next.pivoted(s), next.letters[s]
+				for w, word := range states {
 					for word != 0 {
 						st := w*64 + bits.TrailingZeros64(word)
 						word &= word - 1
-						nq := mon.Step(st, letter)
+						nq := mon.Step(st, succLetter)
 						if nq != st {
-							pivotBuf = strconv.AppendInt(pivotBuf[:0], int64(nq), 10)
-							pivotBuf = append(pivotBuf, '|')
-							pivotBuf = succ.cut.AppendKey(pivotBuf)
-							if !seenPivot[string(pivotBuf)] {
-								seenPivot[string(pivotBuf)] = true
-								res.pivots = append(res.pivots, pivot{q: nq, cut: succ.cut.Clone()})
+							if pivots && !pivoted.Has(nq) {
+								pivoted.Add(nq)
+								res.pivots = append(res.pivots, pivot{q: nq, cut: succCut.Clone()})
 							}
 							if mon.Final(nq) {
-								if !seenConcl[nq] {
-									seenConcl[nq] = true
-									res.conclusive = append(res.conclusive, pivot{q: nq, cut: succ.cut.Clone()})
+								if !seenConcl.Has(nq) {
+									seenConcl.Add(nq)
+									res.conclusive = append(res.conclusive, pivot{q: nq, cut: succCut.Clone()})
 								}
-								concl.set(nq)
+								concl.Add(nq)
 								continue
 							}
 						}
-						succ.states.set(nq)
+						succ.Add(nq)
 					}
 				}
 			}
 		}
-		curList, curIdx = nextList, nextIdx
+		cur, next = next, cur
 	}
-	top, ok := curIdx[string(appendSupportKey(keyBuf[:0], hi, support))]
-	if !ok {
+	top, _ := cur.find(hi, -1, support)
+	if top < 0 {
 		return nil, fmt.Errorf("core: box upper cut %v unreachable from %v", hi, lo)
 	}
-	fin := top.states.clone()
-	fin.or(concl)
-	fin.forEach(func(st int) {
+	fin := cur.set(top) // scratch: the frontier is discarded after the sweep
+	fin.Or(concl)
+	fin.ForEach(func(st int) {
 		res.finalStates = append(res.finalStates, st)
 	})
 	return res, nil
 }
 
-// appendSupportKey renders the support-projection of a cut as a map key.
-func appendSupportKey(b []byte, cut vclock.VC, support []int) []byte {
+// sweepFrontiers is the sliced sweep's storage: two ranks of frontier used
+// ping-pong style. A sweep holds one exclusively from frontierPool.Get to
+// Put; it is scratch only, never part of monitor state or a snapshot.
+type sweepFrontiers [2]sweepFrontier
+
+// frontierPool recycles frontier storage across sweeps, monitors and
+// sessions. Per-monitor storage would not amortize: a monitor lives for one
+// session and sweeps only a few times in it (finalization sweeps each live
+// view once), so its slabs would be regrown from empty every session.
+var frontierPool = sync.Pool{New: func() any { return new(sweepFrontiers) }}
+
+// sweepFrontier is one rank of the sliced sweep, stored flat. Node i's lift
+// cut is lifts[i*n:(i+1)*n], its state set states[i*w:(i+1)*w], the states
+// already reported as pivots at its cut pivots[i*w:(i+1)*w] (the (state,
+// cut) dedup, since a rank holds each cut once and ranks never share cuts),
+// and its letter letters[i]. slots is an open-addressing hash index over the
+// nodes (node+1 per occupied slot, 0 when empty), keyed by the support
+// components of the lift and resolved by comparing those components in the
+// slab, so it works for any support width and extent.
+type sweepFrontier struct {
+	n, w    int
+	lifts   []int
+	states  []uint64
+	pivots  []uint64
+	letters []uint32
+	slots   []int32
+	shift   uint // 64 - log2(len(slots)): the index takes a hash's top bits
+}
+
+// reset empties the frontier for n-wide cuts and w-word state sets, sizing
+// the index for up to capHint nodes at a load factor of at most 1/2.
+func (f *sweepFrontier) reset(n, w, capHint int) {
+	f.n, f.w = n, w
+	f.lifts, f.states, f.pivots, f.letters = f.lifts[:0], f.states[:0], f.pivots[:0], f.letters[:0]
+	size, shift := 8, uint(61)
+	for size < 2*capHint {
+		size <<= 1
+		shift--
+	}
+	if cap(f.slots) < size {
+		f.slots = make([]int32, size)
+	} else {
+		f.slots = f.slots[:size]
+		clear(f.slots)
+	}
+	f.shift = shift
+}
+
+func (f *sweepFrontier) size() int { return len(f.letters) }
+
+func (f *sweepFrontier) lift(i int) vclock.VC { return f.lifts[i*f.n : (i+1)*f.n : (i+1)*f.n] }
+
+func (f *sweepFrontier) set(i int) stateset.Set { return f.states[i*f.w : (i+1)*f.w : (i+1)*f.w] }
+
+func (f *sweepFrontier) pivoted(i int) stateset.Set { return f.pivots[i*f.w : (i+1)*f.w : (i+1)*f.w] }
+
+// find looks up the node whose support components equal cut's, with
+// component bump read one higher (bump < 0: none). It returns the node, or
+// -1 and the empty slot where add should index it.
+func (f *sweepFrontier) find(cut vclock.VC, bump int, support []int) (node, slot int) {
+	var h uint64
 	for _, j := range support {
-		b = strconv.AppendInt(b, int64(cut[j]), 10)
-		b = append(b, '.')
+		v := cut[j]
+		if j == bump {
+			v++
+		}
+		h = (h + uint64(v)) * 0x9e3779b97f4a7c15
 	}
-	return b
-}
-
-// stateset is a small bitset over automaton states (mirrors the lattice
-// package's private type; duplicated to keep internal packages decoupled).
-type stateset []uint64
-
-func newStateset(n int) stateset { return make(stateset, (n+63)/64) }
-
-func (s stateset) set(i int)      { s[i/64] |= 1 << (i % 64) }
-func (s stateset) has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
-
-// clear zeroes the set in place (scratch reuse on the hot path).
-func (s stateset) clear() {
-	for i := range s {
-		s[i] = 0
-	}
-}
-
-// forEach calls fn for every member state, ascending, without allocating.
-func (s stateset) forEach(fn func(q int)) {
-	for w, word := range s {
-		for word != 0 {
-			fn(w*64 + bits.TrailingZeros64(word))
-			word &= word - 1
+	mask := len(f.slots) - 1
+	for s := int(h >> f.shift); ; s = (s + 1) & mask {
+		idx := int(f.slots[s]) - 1
+		if idx < 0 {
+			return -1, s
+		}
+		lift := f.lift(idx)
+		match := true
+		for _, j := range support {
+			v := cut[j]
+			if j == bump {
+				v++
+			}
+			if lift[j] != v {
+				match = false
+				break
+			}
+		}
+		if match {
+			return idx, s
 		}
 	}
 }
 
-// members lists the states contained in the set, ascending (cold paths and
-// tests; hot paths iterate with forEach or inline word scans instead).
-func (s stateset) members(n int) []int {
-	var out []int
-	s.forEach(func(q int) {
-		if q < n {
-			out = append(out, q)
-		}
-	})
-	return out
-}
-
-// clone returns an independent copy.
-func (s stateset) clone() stateset {
-	t := make(stateset, len(s))
-	copy(t, s)
-	return t
-}
-
-// or unions t into s and reports whether s changed.
-func (s stateset) or(t stateset) bool {
-	changed := false
-	for w := range s {
-		nv := s[w] | t[w]
-		if nv != s[w] {
-			s[w] = nv
-			changed = true
+// add appends a node with an empty state set whose lift is base with
+// component bump advanced (bump < 0: none) and joined with vc (nil: none),
+// indexes it at slot, and returns it.
+func (f *sweepFrontier) add(slot int, base vclock.VC, bump int, vc vclock.VC, letter uint32) int {
+	i := f.size()
+	f.lifts = append(f.lifts, base...)
+	lift := f.lift(i)
+	if bump >= 0 {
+		lift[bump]++
+	}
+	for j, v := range vc {
+		if v > lift[j] {
+			lift[j] = v
 		}
 	}
-	return changed
-}
-
-// empty reports whether no state is set.
-func (s stateset) empty() bool {
-	for _, w := range s {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// key renders the set compactly for signatures.
-func (s stateset) key() string {
-	b := make([]byte, 0, 16*len(s))
-	for _, w := range s {
-		for sh := 0; sh < 64; sh += 8 {
-			b = append(b, byte(w>>sh))
-		}
-	}
-	return string(b)
+	f.states = append(f.states, make([]uint64, f.w)...)
+	f.pivots = append(f.pivots, make([]uint64, f.w)...)
+	f.letters = append(f.letters, letter)
+	f.slots[slot] = int32(i + 1)
+	return i
 }

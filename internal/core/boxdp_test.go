@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"decentmon/internal/automaton"
 	"decentmon/internal/dist"
 	"decentmon/internal/ltl"
+	"decentmon/internal/stateset"
 	"decentmon/internal/vclock"
 )
 
@@ -24,7 +26,7 @@ type boxFixture struct {
 	mon  *automaton.Monitor
 	know *knowledge
 	lt   *letterTable
-	init stateset
+	init stateset.Set
 	n    int
 }
 
@@ -43,8 +45,8 @@ func newBoxFixture(t *testing.T, ts *dist.TraceSet, formula string) *boxFixture 
 		}
 	}
 	lt := newLetterTable(ts.Props, ts.N())
-	init := newStateset(mon.NumStates())
-	init.set(mon.Step(mon.Initial(), lt.letter(ts.InitialState())))
+	init := stateset.New(mon.NumStates())
+	init.Add(mon.Step(mon.Initial(), lt.letter(ts.InitialState())))
 	return &boxFixture{mon: mon, know: know, lt: lt, init: init, n: ts.N()}
 }
 
@@ -121,10 +123,10 @@ type bruteResult struct {
 // the most literal reading of the Chapter-3 DP, as an independent reference.
 func (f *boxFixture) bruteBox(lo, hi vclock.VC) *bruteResult {
 	cuts := f.enumerateConsistent(lo, hi)
-	states := map[string]stateset{string(lo.AppendKey(nil)): f.init.clone()}
+	states := map[string]stateset.Set{string(lo.AppendKey(nil)): append(stateset.Set(nil), f.init...)}
 	res := &bruteResult{nodes: len(cuts), pivotKeys: map[string]bool{}, conclStates: map[int]bool{}}
 	seedFinal := map[int]bool{}
-	f.init.forEach(func(q int) {
+	f.init.ForEach(func(q int) {
 		if f.mon.Final(q) {
 			seedFinal[q] = true
 		}
@@ -134,7 +136,7 @@ func (f *boxFixture) bruteBox(lo, hi vclock.VC) *bruteResult {
 			continue
 		}
 		letter := f.lt.letter(f.know.stateAt(c))
-		cur := newStateset(f.mon.NumStates())
+		cur := stateset.New(f.mon.NumStates())
 		for p := 0; p < f.n; p++ {
 			if c[p] == lo[p] {
 				continue
@@ -145,9 +147,9 @@ func (f *boxFixture) bruteBox(lo, hi vclock.VC) *bruteResult {
 			if !ok {
 				continue // inconsistent predecessor: not a box node
 			}
-			ps.forEach(func(st int) {
+			ps.ForEach(func(st int) {
 				nq := f.mon.Step(st, letter)
-				cur.set(nq)
+				cur.Add(nq)
 				if nq != st {
 					res.pivotKeys[strconv.Itoa(nq)+"|"+c.Key()] = true
 					if f.mon.Final(nq) && !seedFinal[nq] {
@@ -158,7 +160,7 @@ func (f *boxFixture) bruteBox(lo, hi vclock.VC) *bruteResult {
 		}
 		states[string(c.AppendKey(nil))] = cur
 	}
-	states[string(hi.AppendKey(nil))].forEach(func(st int) {
+	states[string(hi.AppendKey(nil))].ForEach(func(st int) {
 		res.finalStates = append(res.finalStates, st)
 	})
 	return res
@@ -215,7 +217,7 @@ func TestBoxExactMatchesBruteForce(t *testing.T) {
 					f := newBoxFixture(t, ts, "F (P0.p && P1.q)")
 					for _, box := range f.boxCases(ts) {
 						lo, hi := box[0], box[1]
-						got, err := exploreBox(f.mon, f.know, f.lt, f.init, lo, hi, 1<<21, nil)
+						got, err := exploreBox(f.mon, f.know, f.lt, f.init, lo, hi, 1<<21, nil, true)
 						if err != nil {
 							t.Fatalf("exact box %v..%v: %v", lo, hi, err)
 						}
@@ -270,11 +272,11 @@ func TestBoxSlicedFullSupportIsExact(t *testing.T) {
 					}
 					for _, box := range f.boxCases(ts) {
 						lo, hi := box[0], box[1]
-						exact, err := exploreBox(f.mon, f.know, f.lt, f.init, lo, hi, 1<<21, nil)
+						exact, err := exploreBox(f.mon, f.know, f.lt, f.init, lo, hi, 1<<21, nil, true)
 						if err != nil {
 							t.Fatalf("exact: %v", err)
 						}
-						sliced, err := exploreBox(f.mon, f.know, f.lt, f.init, lo, hi, 1<<21, full)
+						sliced, err := exploreBox(f.mon, f.know, f.lt, f.init, lo, hi, 1<<21, full, true)
 						if err != nil {
 							t.Fatalf("sliced full support: %v", err)
 						}
@@ -286,11 +288,34 @@ func TestBoxSlicedFullSupportIsExact(t *testing.T) {
 						}
 						comparePivotSeq(t, "pivot", sliced.pivots, exact.pivots)
 						comparePivotSeq(t, "conclusive", sliced.conclusive, exact.conclusive)
+						comparePivotsOff(t, f, lo, hi, full, sliced)
 					}
 				})
 			}
 		}
 	}
+}
+
+// comparePivotsOff re-runs a sliced sweep without pivot bookkeeping (as
+// finalization does) and checks it against the pivots-on result on: nothing
+// but the pivots may change — same node count, same final states, and the
+// same conclusive sequence, cut for cut.
+func comparePivotsOff(t *testing.T, f *boxFixture, lo, hi vclock.VC, support []int, on *boxResult) {
+	t.Helper()
+	off, err := exploreBox(f.mon, f.know, f.lt, f.init, lo, hi, 1<<21, support, false)
+	if err != nil {
+		t.Fatalf("pivots-off sweep: %v", err)
+	}
+	if off.nodes != on.nodes {
+		t.Errorf("box %v..%v: pivots-off sweep visited %d nodes, pivots-on %d", lo, hi, off.nodes, on.nodes)
+	}
+	if fmt.Sprint(off.finalStates) != fmt.Sprint(on.finalStates) {
+		t.Errorf("box %v..%v: pivots-off final states %v, pivots-on %v", lo, hi, off.finalStates, on.finalStates)
+	}
+	if len(off.pivots) != 0 {
+		t.Errorf("box %v..%v: pivots-off sweep returned %d pivots", lo, hi, len(off.pivots))
+	}
+	comparePivotSeq(t, "pivots-off conclusive", off.conclusive, on.conclusive)
 }
 
 func comparePivotSeq(t *testing.T, what string, got, want []pivot) {
@@ -398,14 +423,16 @@ func TestBoxSlicedProjectionRoundTrip(t *testing.T) {
 					f := newBoxFixture(t, ts, "F (P0.p && P1.q)")
 					for _, box := range f.boxCases(ts) {
 						lo, hi := box[0], box[1]
-						exact, err := exploreBox(f.mon, f.know, f.lt, f.init, lo, hi, 1<<21, nil)
+						exact, err := exploreBox(f.mon, f.know, f.lt, f.init, lo, hi, 1<<21, nil, true)
 						if err != nil {
 							t.Fatalf("exact: %v", err)
 						}
-						sliced, err := exploreBox(f.mon, f.know, f.lt, f.init, lo, hi, 1<<21, support)
+						sliced, err := exploreBox(f.mon, f.know, f.lt, f.init, lo, hi, 1<<21, support, true)
 						if err != nil {
 							t.Fatalf("sliced: %v", err)
 						}
+
+						comparePivotsOff(t, f, lo, hi, support, sliced)
 
 						projected := f.countProjectedCuts(lo, hi, support)
 						if sliced.nodes != projected {
@@ -477,10 +504,10 @@ func TestBoxSlicedNodeBound(t *testing.T) {
 	if projected < 2 {
 		t.Fatalf("degenerate fixture: projected region has %d cuts", projected)
 	}
-	if _, err := exploreBox(f.mon, f.know, f.lt, f.init, lo, hi, projected-1, support); err == nil {
+	if _, err := exploreBox(f.mon, f.know, f.lt, f.init, lo, hi, projected-1, support, true); err == nil {
 		t.Errorf("sliced sweep with maxNodes %d below projected size %d did not error", projected-1, projected)
 	}
-	if _, err := exploreBox(f.mon, f.know, f.lt, f.init, lo, hi, projected, support); err != nil {
+	if _, err := exploreBox(f.mon, f.know, f.lt, f.init, lo, hi, projected, support, true); err != nil {
 		t.Errorf("sliced sweep with maxNodes == projected size %d failed: %v", projected, err)
 	}
 }
@@ -492,15 +519,92 @@ func TestBoxEmpty(t *testing.T) {
 	f := newBoxFixture(t, ts, "F (P0.p && P1.q)")
 	lo := vclock.New(f.n)
 	for _, support := range [][]int{nil, {0, 1}} {
-		res, err := exploreBox(f.mon, f.know, f.lt, f.init, lo, lo, 1, support)
+		res, err := exploreBox(f.mon, f.know, f.lt, f.init, lo, lo, 1, support, true)
 		if err != nil {
 			t.Fatalf("support %v: %v", support, err)
 		}
 		if res.nodes != 1 || len(res.pivots) != 0 {
 			t.Errorf("support %v: empty box visited %d nodes with %d pivots", support, res.nodes, len(res.pivots))
 		}
-		if fmt.Sprint(sortedInts(res.finalStates)) != fmt.Sprint(f.init.members(f.mon.NumStates())) {
-			t.Errorf("support %v: empty box final states %v, want %v", support, res.finalStates, f.init.members(f.mon.NumStates()))
+		if fmt.Sprint(sortedInts(res.finalStates)) != fmt.Sprint(f.init.Members(f.mon.NumStates())) {
+			t.Errorf("support %v: empty box final states %v, want %v", support, res.finalStates, f.init.Members(f.mon.NumStates()))
 		}
 	}
+}
+
+// chainFixture builds an execution whose events are totally ordered by
+// causality: round by round, every process takes one event that has seen
+// all earlier ones. Its lattice is a chain, so any box over it is cheap to
+// sweep however many processes and events it spans. P0.p and P1.p turn true
+// from round k/2 on, so F (P0.p && P1.p) concludes mid-chain.
+func chainFixture(t *testing.T, n, k int) *boxFixture {
+	t.Helper()
+	pm := dist.NewPropMap() // only P0 and P1 own propositions: a 4-letter alphabet
+	pm.MustAdd("P0.p", 0)
+	pm.MustAdd("P1.p", 1)
+	mon, err := automaton.Build(ltl.MustParse("F (P0.p && P1.p)"), pm.Names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	init := make(dist.GlobalState, n)
+	know := newKnowledge(n, init)
+	for r := 1; r <= k; r++ {
+		for p := 0; p < n; p++ {
+			vc := vclock.New(n)
+			for j := range vc {
+				vc[j] = r
+				if j > p {
+					vc[j] = r - 1
+				}
+			}
+			var state dist.LocalState
+			if p < 2 && r >= k/2 {
+				state = 1
+			}
+			if err := know.append(&dist.Event{Proc: p, SN: r, Type: dist.Internal, Peer: -1, State: state, VC: vc}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	lt := newLetterTable(pm, n)
+	q0 := stateset.New(mon.NumStates())
+	q0.Add(mon.Step(mon.Initial(), lt.letter(init)))
+	return &boxFixture{mon: mon, know: know, lt: lt, init: q0, n: n}
+}
+
+// TestBoxSlicedWideExtent sweeps a box whose support extents multiply past
+// 2^64 — (k+1)^(n-1) = 9^23 projected cut coordinates — so no fixed-width
+// packing of a projected cut could key the frontier. Being a chain, the
+// region itself is small; the sweep must visit exactly its (n-1)·k+1
+// projected cuts and agree with the exact DP on verdicts and on the
+// conclusive discovery cut.
+func TestBoxSlicedWideExtent(t *testing.T) {
+	const n, k = 24, 8
+	f := chainFixture(t, n, k)
+	support := make([]int, n-1) // every process but the last
+	for j := range support {
+		support[j] = j
+	}
+	lo, hi := vclock.New(n), f.frontier()
+	if bitsNeeded := float64(len(support)) * math.Log2(k+1); bitsNeeded <= 64 {
+		t.Fatalf("degenerate fixture: box extent product needs only %.1f bits", bitsNeeded)
+	}
+	sliced, err := exploreBox(f.mon, f.know, f.lt, f.init, lo, hi, 1<<21, support, true)
+	if err != nil {
+		t.Fatalf("sliced: %v", err)
+	}
+	if want := (n-1)*k + 1; sliced.nodes != want {
+		t.Errorf("sliced sweep visited %d nodes, want %d", sliced.nodes, want)
+	}
+	exact, err := exploreBox(f.mon, f.know, f.lt, f.init, lo, hi, 1<<21, nil, true)
+	if err != nil {
+		t.Fatalf("exact: %v", err)
+	}
+	if fmt.Sprint(verdictSet(f.mon, sliced.finalStates)) != fmt.Sprint(verdictSet(f.mon, exact.finalStates)) {
+		t.Errorf("final verdicts %v, exact %v", verdictSet(f.mon, sliced.finalStates), verdictSet(f.mon, exact.finalStates))
+	}
+	if len(exact.conclusive) == 0 {
+		t.Fatal("degenerate fixture: no conclusive state in the box")
+	}
+	comparePivotSeq(t, "conclusive", sliced.conclusive, exact.conclusive)
 }

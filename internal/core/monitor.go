@@ -11,6 +11,7 @@ import (
 
 	"decentmon/internal/automaton"
 	"decentmon/internal/dist"
+	"decentmon/internal/stateset"
 	"decentmon/internal/transport"
 	"decentmon/internal/vclock"
 )
@@ -105,7 +106,7 @@ type Metrics struct {
 // ("the monitor process maintains a set of possible evaluation verdicts"):
 // views at the same cut always merge (MergeSimilarGlobalViews).
 type globalView struct {
-	states  stateset
+	states  stateset.Set
 	cut     vclock.VC
 	gstate  dist.GlobalState
 	letter  uint32    // cached monitor letter at gstate (letterTable-maintained)
@@ -120,7 +121,7 @@ func gvKey(cut vclock.VC) string { return cut.Key() }
 // re-explore their *other* extensions (which may stay inconclusive to the
 // final cut). Both fields are owned clones, never aliased into a live view.
 type residualView struct {
-	states stateset
+	states stateset.Set
 	cut    vclock.VC
 }
 
@@ -172,7 +173,7 @@ type Monitor struct {
 	keyBuf        []byte
 	sigBuf        []byte
 	keyScratch    []string
-	ssScratch     stateset
+	ssScratch     stateset.Set
 	searchScratch []stateSearch
 	idScratch     []int
 
@@ -239,6 +240,12 @@ type Monitor struct {
 	progressGauge atomic.Int64
 	onProgress    func()
 	searchesDone  int64
+	// unabsorbed counts local events the session's gate admitted that this
+	// monitor has not yet published as absorbed: the gate adds on admission,
+	// publishGauges retires absorbedLocal after storing lagGauge. Outside a
+	// gated session nothing adds, and the (then negative) value is unread.
+	unabsorbed    atomic.Int64
+	absorbedLocal int64
 
 	// Snapshot quiescence accounting (snapshot.go): outSent counts monitor
 	// messages enqueued to peers, incremented BEFORE the transport send so
@@ -302,7 +309,7 @@ func New(cfg Config, ep transport.Endpoint) (*Monitor, error) {
 		m.peerFloor[j] = vclock.New(cfg.N)
 		m.sentFloor[j] = vclock.New(cfg.N)
 	}
-	m.ssScratch = newStateset(cfg.Automaton.NumStates())
+	m.ssScratch = stateset.New(cfg.Automaton.NumStates())
 	m.support = boxSupport(cfg)
 	return m, nil
 }
@@ -312,7 +319,7 @@ func New(cfg Config, ep transport.Endpoint) (*Monitor, error) {
 // verdict-exact only for ○-free (stutter-invariant) properties, needs the
 // formula to be attached to the automaton, and buys nothing when the support
 // spans every process. (The owner lookup mirrors lattice.SupportProcesses;
-// duplicated to keep internal packages decoupled, like the stateset type.)
+// duplicated to keep internal packages decoupled.)
 func boxSupport(cfg Config) []int {
 	if cfg.ExactBoxes || cfg.Automaton == nil || cfg.Props == nil {
 		return nil
@@ -346,8 +353,9 @@ func boxSupport(cfg Config) []int {
 
 // explore runs one box exploration with the monitor's strategy (sliced when
 // m.support is set, exact otherwise) and accounts the exploration metrics.
-func (m *Monitor) explore(init stateset, lo, hi vclock.VC) (*boxResult, error) {
-	box, err := exploreBox(m.mon, m.know, m.lt, init, lo, hi, m.cfg.MaxBoxNodes, m.support)
+// pivots says whether the caller consumes the box's pivots (see exploreBox).
+func (m *Monitor) explore(init stateset.Set, lo, hi vclock.VC, pivots bool) (*boxResult, error) {
+	box, err := exploreBox(m.mon, m.know, m.lt, init, lo, hi, m.cfg.MaxBoxNodes, m.support, pivots)
 	if err != nil {
 		return nil, err
 	}
@@ -493,8 +501,8 @@ func (m *Monitor) start(ctx context.Context) {
 		m.recordVerdictState(q0, vclock.New(m.cfg.N))
 	}
 	if m.cfg.Mode == ModeDecentralized && !m.mon.Final(q0) {
-		init := newStateset(m.mon.NumStates())
-		init.set(q0)
+		init := stateset.New(m.mon.NumStates())
+		init.Add(q0)
 		m.addGV(init, vclock.New(m.cfg.N), m.cfg.Init.Clone(), true)
 	}
 	m.initialQ = q0
@@ -534,6 +542,7 @@ func (m *Monitor) handleLocalEvent(e *dist.Event) {
 		return
 	}
 	m.metrics.EventsProcessed++
+	m.absorbedLocal++
 	if m.cfg.Mode == ModeReplicated {
 		m.broadcast(&wireMsg{Kind: msgEvent, Event: e})
 	}
@@ -699,9 +708,9 @@ func (m *Monitor) integrateEnabled(t *tokenWire, tr *transWire) {
 		m.fail(fmt.Errorf("core: monitor %d: enabled cut %v not covered by token segments", m.cfg.Index, tr.Gcut))
 		return
 	}
-	origin := newStateset(m.mon.NumStates())
-	origin.set(t.Q)
-	box, err := m.explore(origin, t.Origin, tr.Gcut)
+	origin := stateset.New(m.mon.NumStates())
+	origin.Add(t.Q)
+	box, err := m.explore(origin, t.Origin, tr.Gcut, true)
 	if err != nil {
 		m.fail(err)
 		return
@@ -720,7 +729,7 @@ func (m *Monitor) integrateEnabled(t *tokenWire, tr *transWire) {
 // Pivot forks are restricted to the *minimal* cuts per discovered state —
 // the join-irreducible elements of the satisfying sub-lattice (§4.1); later
 // pivots of the same state are reachable from them or from the continuation.
-func (m *Monitor) integrateBox(box *boxResult, origin stateset, continueAt vclock.VC) {
+func (m *Monitor) integrateBox(box *boxResult, origin stateset.Set, continueAt vclock.VC) {
 	for _, c := range box.conclusive {
 		m.recordVerdictState(c.q, c.cut)
 	}
@@ -746,25 +755,25 @@ func (m *Monitor) integrateBox(box *boxResult, origin stateset, continueAt vcloc
 	}
 	for q, ps := range minimal {
 		for _, p := range ps {
-			s := newStateset(m.mon.NumStates())
-			s.set(q)
+			s := stateset.New(m.mon.NumStates())
+			s.Add(q)
 			m.addGV(s, p.cut, m.know.stateAt(p.cut), true)
 		}
 	}
 	if continueAt != nil {
-		cont := newStateset(m.mon.NumStates())
+		cont := stateset.New(m.mon.NumStates())
 		fresh := false
 		for _, q := range box.finalStates {
 			if m.mon.Final(q) {
 				m.recordVerdictState(q, continueAt)
 				continue
 			}
-			cont.set(q)
-			if !origin.has(q) {
+			cont.Add(q)
+			if !origin.Has(q) {
 				fresh = true
 			}
 		}
-		if !cont.empty() {
+		if !cont.Empty() {
 			m.addGV(cont, continueAt.Clone(), m.know.stateAt(continueAt), fresh)
 		}
 	}
@@ -831,10 +840,10 @@ func (m *Monitor) requestKnowledge(target vclock.VC) {
 // addGV inserts a global view, implementing MergeSimilarGlobalViews
 // (Algorithm 2): views at the same cut merge by unioning their state sets.
 // counted controls whether the view increments the Fig. 5.8 fork metric.
-func (m *Monitor) addGV(states stateset, cut vclock.VC, gstate dist.GlobalState, counted bool) *globalView {
+func (m *Monitor) addGV(states stateset.Set, cut vclock.VC, gstate dist.GlobalState, counted bool) *globalView {
 	m.keyBuf = cut.AppendKey(m.keyBuf[:0])
 	if gv, ok := m.gvs[string(m.keyBuf)]; ok { // allocation-free probe
-		if gv.states.or(states) {
+		if gv.states.Or(states) {
 			gv.lastSig = "" // the enabled-set signature may have changed
 			if counted {
 				m.metrics.GlobalViewsCreated++
@@ -890,11 +899,16 @@ func (m *Monitor) pump() {
 	m.maybeFini()
 }
 
-// publishGauges exposes the knowledge backlog and the monotone progress sum
-// (collected events + resolved searches) to the session's backpressure gate,
-// signalling its relief hook whenever progress advanced.
+// publishGauges exposes the knowledge backlog, the absorbed local events and
+// the monotone progress sum (collected events + resolved searches) to the
+// session's backpressure gate, signalling its relief hook whenever progress
+// advanced.
 func (m *Monitor) publishGauges() {
 	m.lagGauge.Store(int64(m.know.retained))
+	if m.absorbedLocal > 0 {
+		m.unabsorbed.Add(-m.absorbedLocal)
+		m.absorbedLocal = 0
+	}
 	prog := int64(m.know.collected) + m.searchesDone
 	if prog != m.progressGauge.Load() {
 		m.progressGauge.Store(prog)
@@ -946,8 +960,8 @@ func (m *Monitor) advanceGV(key string, gv *globalView) bool {
 			// Step every state of the view word-wise into the recycled
 			// scratch set; the view's old set becomes the next scratch.
 			ns := m.ssScratch
-			ns.clear()
-			var absorbed stateset
+			ns.Clear()
+			var absorbed stateset.Set
 			for w, word := range gv.states {
 				for word != 0 {
 					q := w*64 + bits.TrailingZeros64(word)
@@ -961,13 +975,13 @@ func (m *Monitor) advanceGV(key string, gv *globalView) bool {
 						// finalization re-explores them.
 						if m.cfg.FinalizeFull {
 							if absorbed == nil {
-								absorbed = newStateset(m.mon.NumStates())
+								absorbed = stateset.New(m.mon.NumStates())
 							}
-							absorbed.set(q)
+							absorbed.Add(q)
 						}
 						continue
 					}
-					ns.set(nq)
+					ns.Add(nq)
 				}
 			}
 			if absorbed != nil {
@@ -975,14 +989,14 @@ func (m *Monitor) advanceGV(key string, gv *globalView) bool {
 				pre[i] = next - 1
 				m.retainResidual(absorbed, pre)
 			}
-			if ns.empty() {
+			if ns.Empty() {
 				return true // every chained path concluded; residuals keep the rest
 			}
 			m.ssScratch = gv.states
 			gv.states = ns
 			m.keyBuf = gv.cut.AppendKey(m.keyBuf[:0])
 			if other, dup := m.gvs[string(m.keyBuf)]; dup && other != gv {
-				other.states.or(gv.states) // merge into the resident view
+				other.states.Or(gv.states) // merge into the resident view
 				return true
 			}
 			key = string(m.keyBuf) // insertion materializes the key
@@ -1000,7 +1014,7 @@ func (m *Monitor) advanceGV(key string, gv *globalView) bool {
 			gv.blocked = target
 			return changed
 		}
-		box, err := m.explore(gv.states, gv.cut, target)
+		box, err := m.explore(gv.states, gv.cut, target, true)
 		if err != nil {
 			m.fail(err)
 			return changed
@@ -1181,10 +1195,10 @@ func (m *Monitor) recordVerdictState(q int, cut vclock.VC) {
 // (MergeSimilarGlobalViews). The caller must own both arguments: they are
 // retained verbatim and the cut joins the need-floor, so aliasing a live
 // view's storage here would corrupt the GC argument.
-func (m *Monitor) retainResidual(states stateset, cut vclock.VC) {
+func (m *Monitor) retainResidual(states stateset.Set, cut vclock.VC) {
 	m.keyBuf = cut.AppendKey(m.keyBuf[:0])
 	if r, ok := m.residuals[string(m.keyBuf)]; ok { // allocation-free probe
-		r.states.or(states)
+		r.states.Or(states)
 		return
 	}
 	m.residuals[string(m.keyBuf)] = &residualView{states: states, cut: cut}
@@ -1237,8 +1251,8 @@ func (m *Monitor) maybeFinalize() {
 		return
 	}
 	m.finalizing = false
-	extend := func(states stateset, cut vclock.VC) bool {
-		box, err := m.explore(states, cut, final)
+	extend := func(states stateset.Set, cut vclock.VC) bool {
+		box, err := m.explore(states, cut, final, false)
 		if err != nil {
 			m.fail(err)
 			return false
@@ -1281,9 +1295,9 @@ func (m *Monitor) maybeFinalizeReplicated() {
 	if !ok || !m.know.covers(final) {
 		return
 	}
-	init := newStateset(m.mon.NumStates())
-	init.set(m.initialQ)
-	box, err := m.explore(init, vclock.New(m.cfg.N), final)
+	init := stateset.New(m.mon.NumStates())
+	init.Add(m.initialQ)
+	box, err := m.explore(init, vclock.New(m.cfg.N), final, false)
 	if err != nil {
 		m.fail(err)
 		return
@@ -1329,7 +1343,7 @@ func (m *Monitor) maybeFini() {
 	if !m.cfg.FinalizeFull && m.cfg.Mode == ModeDecentralized {
 		for _, key := range m.gvKeys() {
 			gv := m.gvs[key]
-			for _, q := range gv.states.members(m.mon.NumStates()) {
+			for _, q := range gv.states.Members(m.mon.NumStates()) {
 				m.recordVerdictState(q, gv.cut)
 			}
 		}

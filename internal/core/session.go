@@ -107,7 +107,7 @@ type Session struct {
 	conclOnce  sync.Once
 	firstConcl time.Duration
 
-	// The backpressure gate (see admit). relief is signalled by monitors
+	// The backpressure gate (see admitN). relief is signalled by monitors
 	// whenever their progress gauge advances.
 	relief       chan struct{}
 	gateMu       sync.Mutex
@@ -217,9 +217,9 @@ func buildSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 		ended:    make([]bool, cfg.N),
 		start:    time.Now(),
 	}
-	// With backpressure on, keep the feed queue shallow: events parked in
-	// the channel are invisible to the retained-knowledge gauge the gate
-	// reads, so a deep queue would let a whole trace slip past it.
+	// With backpressure on, keep the feed queue shallow: the gate charges
+	// queued events to their monitor (unabsorbed) until it absorbs them, so
+	// a deeper queue would only hold admissions the bound already counts.
 	feedBuffer := 0
 	if maxLag > 0 {
 		feedBuffer = 16
@@ -341,11 +341,18 @@ func (s *Session) RetainedEvents() int64 {
 	return sum
 }
 
-// maxRetained is the largest retained-knowledge backlog across monitors.
-func (s *Session) maxRetained() int64 {
+// maxBacklog is the largest backlog across monitors: retained knowledge plus
+// local events the gate admitted that the monitor has not absorbed yet (in
+// its feed queue or in its current handling round), so the gate never reads
+// a backlog its own admissions have not reached yet. unabsorbed is read
+// before lagGauge: a monitor stores lagGauge before it retires the absorbed
+// events from unabsorbed, so an event is never missing from both reads (at
+// worst it is counted twice).
+func (s *Session) maxBacklog() int64 {
 	var worst int64
 	for _, m := range s.monitors {
-		if l := m.lagGauge.Load(); l > worst {
+		pending := m.unabsorbed.Load()
+		if l := pending + m.lagGauge.Load(); l > worst {
 			worst = l
 		}
 	}
@@ -362,28 +369,37 @@ func (s *Session) progress() int64 {
 	return sum
 }
 
-// admit applies feeder-side backpressure: while some monitor's retained
-// knowledge is at or above the lag bound, each unit of pipeline progress (a
-// knowledge event collected, a search resolved) buys one admission, so an
-// unpaced replay is throttled to the monitors' round-trip and collection
-// rate. When no progress happens within a grace window the backlog is
+// admitN applies feeder-side backpressure to a batch of k events of process
+// p: while some monitor's backlog (maxBacklog) is at or above the lag bound,
+// each unit of pipeline progress (a knowledge event collected, a search
+// resolved) buys one admission, so an unpaced replay is throttled to the
+// monitors' round-trip and collection rate. When no progress happens within a grace window the backlog is
 // pinned by work that needs future events (e.g. an unresolved reachability
 // search), and the gate opens for a bounded batch — memory then grows as
 // the workload inherently requires, but the replay never deadlocks.
-func (s *Session) admit() error { return s.admitN(1) }
-
-// admitN is admit for a batch of k events, consuming credits batch-wise: a
-// single gate pass admits the whole batch once enough progress (or bypass
-// burst) has accrued, so batched feeding pays the gauge scan once per batch
-// instead of once per event. Free admission below the lag bound covers the
-// entire batch — the bound is a backlog threshold, not a rate, and a batch
-// is bounded by the feeders' chunk size.
-func (s *Session) admitN(k int) error {
+//
+// Credits are consumed batch-wise: a single gate pass admits the whole batch
+// once enough progress (or bypass burst) has accrued, so batched feeding
+// pays the gauge scan once per batch instead of once per event. Free
+// admission below the lag bound covers the entire batch — the bound is a
+// backlog threshold, not a rate, and a batch is bounded by the feeders'
+// chunk size. Admitted events count against p's monitor until it absorbs
+// them (a handoff fails only on cancellation, after which the gate is moot).
+func (s *Session) admitN(p, k int) error {
 	if s.maxLag <= 0 || k <= 0 {
 		return s.ctx.Err()
 	}
 	s.gateMu.Lock()
 	defer s.gateMu.Unlock()
+	if err := s.awaitCredit(k); err != nil {
+		return err
+	}
+	s.monitors[p].unabsorbed.Add(int64(k))
+	return nil
+}
+
+// awaitCredit is admitN's gate loop (gateMu held).
+func (s *Session) awaitCredit(k int) error {
 	timer := (*time.Timer)(nil)
 	defer func() {
 		if timer != nil {
@@ -395,7 +411,7 @@ func (s *Session) admitN(k int) error {
 			return err
 		}
 		prog := s.progress()
-		if s.maxRetained() < int64(s.maxLag) {
+		if s.maxBacklog() < int64(s.maxLag) {
 			// Below the bound: free admission. Keep the credit baseline
 			// current so progress made while unthrottled cannot later be
 			// spent as a burst.
@@ -469,7 +485,7 @@ func (s *Session) Feed(e *dist.Event) error {
 		return fmt.Errorf("core: process %d already ended", e.Proc)
 	}
 	s.mu.Unlock()
-	if err := s.admit(); err != nil {
+	if err := s.admitN(e.Proc, 1); err != nil {
 		return err
 	}
 	s.feedItems.Add(1) // before the channel send (quiescence accounting)
@@ -518,7 +534,7 @@ func (s *Session) FeedBatch(events []*dist.Event) error {
 		return fmt.Errorf("core: process %d already ended", p)
 	}
 	s.mu.Unlock()
-	if err := s.admitN(len(events)); err != nil {
+	if err := s.admitN(p, len(events)); err != nil {
 		return err
 	}
 	owned := make([]*dist.Event, len(events))

@@ -44,6 +44,7 @@ import (
 
 	"decentmon/internal/automaton"
 	"decentmon/internal/dist"
+	"decentmon/internal/stateset"
 	"decentmon/internal/vclock"
 )
 
@@ -801,7 +802,7 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func appendStateset(b []byte, s stateset) []byte {
+func appendStateset(b []byte, s stateset.Set) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	for _, w := range s {
 		b = binary.AppendUvarint(b, w)
@@ -833,7 +834,7 @@ func (d *wireDecoder) vcLen(n int) vclock.VC {
 // stateset reads a bitset sized for numStates states, rejecting both a
 // wrong word count and set bits beyond the automaton (stepping a phantom
 // state would index out of the transition table).
-func (d *wireDecoder) stateset(numStates int) stateset {
+func (d *wireDecoder) stateset(numStates int) stateset.Set {
 	words := d.count(1)
 	if d.err != nil {
 		return nil
@@ -843,7 +844,7 @@ func (d *wireDecoder) stateset(numStates int) stateset {
 		d.fail("stateset width")
 		return nil
 	}
-	s := make(stateset, words)
+	s := make(stateset.Set, words)
 	for i := range s {
 		s[i] = d.uvarint()
 	}

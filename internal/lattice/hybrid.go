@@ -6,6 +6,7 @@ import (
 
 	"decentmon/internal/automaton"
 	"decentmon/internal/dist"
+	"decentmon/internal/stateset"
 	"decentmon/internal/vclock"
 )
 
@@ -35,12 +36,12 @@ func EvaluateHybrid(ts *dist.TraceSet, mon *automaton.Monitor, eps float64) (*Re
 	n := ts.N()
 	type node struct {
 		cut    vclock.VC
-		states stateset
+		states stateset.Set
 	}
 	index := map[string]*node{}
-	start := &node{cut: vclock.New(n), states: newStateset(mon.NumStates())}
+	start := &node{cut: vclock.New(n), states: stateset.New(mon.NumStates())}
 	q0 := mon.Step(mon.Initial(), ts.Props.Letter(ts.InitialState()))
-	start.states.set(q0)
+	start.states.Add(q0)
 	index[start.cut.Key()] = start
 
 	// Finite ε explores a strict sub-lattice of the causal one, so the
@@ -91,7 +92,7 @@ func EvaluateHybrid(ts *dist.TraceSet, mon *automaton.Monitor, eps float64) (*Re
 			key := next.Key()
 			succ, seen := index[key]
 			if !seen {
-				succ = &node{cut: next, states: newStateset(mon.NumStates())}
+				succ = &node{cut: next, states: stateset.New(mon.NumStates())}
 				index[key] = succ
 				queue = append(queue, succ)
 				res.NumCuts++
@@ -99,11 +100,11 @@ func EvaluateHybrid(ts *dist.TraceSet, mon *automaton.Monitor, eps float64) (*Re
 			}
 			letter := ts.Props.Letter(ts.StateAtCut(next))
 			for st := 0; st < mon.NumStates(); st++ {
-				if !nd.states.has(st) {
+				if !nd.states.Has(st) {
 					continue
 				}
 				nq := mon.Step(st, letter)
-				succ.states.set(nq)
+				succ.states.Add(nq)
 				if mon.Final(nq) && (res.FirstConclusiveRank == -1 || next.Sum() < res.FirstConclusiveRank) {
 					res.FirstConclusiveRank = next.Sum()
 				}
@@ -121,7 +122,7 @@ func EvaluateHybrid(ts *dist.TraceSet, mon *automaton.Monitor, eps float64) (*Re
 	}
 	seenV := map[automaton.Verdict]bool{}
 	for st := 0; st < mon.NumStates(); st++ {
-		if fin.states.has(st) {
+		if fin.states.Has(st) {
 			res.FinalStates = append(res.FinalStates, st)
 			v := mon.VerdictOf(st)
 			if !seenV[v] {

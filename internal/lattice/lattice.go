@@ -21,6 +21,7 @@ import (
 
 	"decentmon/internal/automaton"
 	"decentmon/internal/dist"
+	"decentmon/internal/stateset"
 	"decentmon/internal/vclock"
 )
 
@@ -72,25 +73,6 @@ func (r *Result) VerdictSet() map[automaton.Verdict]bool {
 	return s
 }
 
-// stateset is a bitset over monitor states.
-type stateset []uint64
-
-func newStateset(n int) stateset { return make(stateset, (n+63)/64) }
-
-func (s stateset) set(i int)      { s[i/64] |= 1 << (i % 64) }
-func (s stateset) has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
-func (s stateset) orInto(t stateset) bool {
-	changed := false
-	for w := range s {
-		nv := t[w] | s[w]
-		if nv != t[w] {
-			t[w] = nv
-			changed = true
-		}
-	}
-	return changed
-}
-
 // Evaluate runs the oracle over the complete execution. The monitor's
 // propositions must match ts.Props.Names in order.
 func Evaluate(ts *dist.TraceSet, mon *automaton.Monitor) (*Result, error) {
@@ -131,13 +113,13 @@ func evalProjected(ts *dist.TraceSet, mon *automaton.Monitor, procs []int) (*Res
 	}
 	type node struct {
 		cut    vclock.VC // length k, indexed like procs
-		states stateset
+		states stateset.Set
 	}
 	index := map[string]*node{}
-	start := &node{cut: vclock.New(k), states: newStateset(mon.NumStates())}
+	start := &node{cut: vclock.New(k), states: stateset.New(mon.NumStates())}
 	// The automaton consumes the initial global state first (§4.2 INIT).
 	q0 := mon.Step(mon.Initial(), ts.Props.Letter(ts.InitialState()))
-	start.states.set(q0)
+	start.states.Add(q0)
 	index[start.cut.Key()] = start
 
 	res := &Result{NumCuts: 1, FirstConclusiveRank: -1}
@@ -166,7 +148,7 @@ func evalProjected(ts *dist.TraceSet, mon *automaton.Monitor, procs []int) (*Res
 			key := next.Key()
 			succ, seen := index[key]
 			if !seen {
-				succ = &node{cut: next, states: newStateset(mon.NumStates())}
+				succ = &node{cut: next, states: stateset.New(mon.NumStates())}
 				index[key] = succ
 				queue = append(queue, succ)
 				res.NumCuts++
@@ -176,11 +158,11 @@ func evalProjected(ts *dist.TraceSet, mon *automaton.Monitor, procs []int) (*Res
 			// global state.
 			letter := ts.Props.Letter(ts.StateAtCut(fullCut(next)))
 			for st := 0; st < mon.NumStates(); st++ {
-				if !nd.states.has(st) {
+				if !nd.states.Has(st) {
 					continue
 				}
 				nq := mon.Step(st, letter)
-				succ.states.set(nq)
+				succ.states.Add(nq)
 				if mon.Final(nq) && (res.FirstConclusiveRank == -1 || next.Sum() < res.FirstConclusiveRank) {
 					res.FirstConclusiveRank = next.Sum()
 				}
@@ -214,14 +196,14 @@ func projLessEq(vc vclock.VC, cut vclock.VC, procs []int) bool {
 	return true
 }
 
-// collectVerdicts lists the states of a stateset ascending and their
+// collectVerdicts lists the states of a state set ascending and their
 // distinct verdict labels in first-seen order.
-func collectVerdicts(mon *automaton.Monitor, states stateset) ([]int, []automaton.Verdict) {
+func collectVerdicts(mon *automaton.Monitor, states stateset.Set) ([]int, []automaton.Verdict) {
 	var sts []int
 	var verdicts []automaton.Verdict
 	seenV := map[automaton.Verdict]bool{}
 	for st := 0; st < mon.NumStates(); st++ {
-		if states.has(st) {
+		if states.Has(st) {
 			sts = append(sts, st)
 			v := mon.VerdictOf(st)
 			if !seenV[v] {

@@ -8,6 +8,7 @@ import (
 
 	"decentmon/internal/automaton"
 	"decentmon/internal/dist"
+	"decentmon/internal/stateset"
 	"decentmon/internal/vclock"
 )
 
@@ -181,11 +182,11 @@ func EvaluateSampled(ts *dist.TraceSet, mon *automaton.Monitor, maxFrontier int,
 	n := ts.N()
 	type node struct {
 		cut    vclock.VC
-		states stateset
+		states stateset.Set
 	}
-	start := &node{cut: vclock.New(n), states: newStateset(mon.NumStates())}
+	start := &node{cut: vclock.New(n), states: stateset.New(mon.NumStates())}
 	q0 := mon.Step(mon.Initial(), ts.Props.Letter(ts.InitialState()))
-	start.states.set(q0)
+	start.states.Add(q0)
 
 	res := &Result{Mode: ModeSampling, NumCuts: 1, MaxWidth: 1, FirstConclusiveRank: -1}
 	if mon.Final(q0) {
@@ -219,16 +220,16 @@ func EvaluateSampled(ts *dist.TraceSet, mon *automaton.Monitor, maxFrontier int,
 				key := succCut.Key()
 				succ, seen := next[key]
 				if !seen {
-					succ = &node{cut: succCut, states: newStateset(mon.NumStates())}
+					succ = &node{cut: succCut, states: stateset.New(mon.NumStates())}
 					next[key] = succ
 				}
 				letter := ts.Props.Letter(ts.StateAtCut(succCut))
 				for st := 0; st < mon.NumStates(); st++ {
-					if !nd.states.has(st) {
+					if !nd.states.Has(st) {
 						continue
 					}
 					nq := mon.Step(st, letter)
-					succ.states.set(nq)
+					succ.states.Add(nq)
 					if mon.Final(nq) && (res.FirstConclusiveRank == -1 || rank < res.FirstConclusiveRank) {
 						res.FirstConclusiveRank = rank
 					}

@@ -52,6 +52,14 @@ type ChanNetwork struct {
 	stop chan struct{}
 }
 
+// inboxCap is the capacity of every ChanNetwork inbox. The unbounded
+// per-destination (or per-pair) queues upstream are what give Send the
+// paper's unbounded channels; the inbox only decouples a drainer from its
+// receiver, so a small fixed size — at least twice the monitor run loop's
+// pumpBatch drain (internal/core) — suffices and keeps inbox memory out of
+// session set-up.
+const inboxCap = 64
+
 type chanEndpoint struct {
 	id    int
 	net   *ChanNetwork
@@ -66,7 +74,7 @@ func NewChanNetwork(n int, opts ...ChanOption) *ChanNetwork {
 	}
 	nw := &ChanNetwork{n: n, stop: make(chan struct{})}
 	for i := 0; i < n; i++ {
-		nw.eps = append(nw.eps, &chanEndpoint{id: i, net: nw, inbox: make(chan Message, 1024)})
+		nw.eps = append(nw.eps, &chanEndpoint{id: i, net: nw, inbox: make(chan Message, inboxCap)})
 	}
 	if cfg.latencyMu <= 0 {
 		nw.destQueues = make([]*unboundedQueue, n)
@@ -187,6 +195,6 @@ func (e *chanEndpoint) Send(to int, payload []byte) error {
 	if !q.push(msg) {
 		return errClosed
 	}
-	e.net.stats.record(e.id, to, len(payload))
+	e.net.stats.record(len(payload))
 	return nil
 }

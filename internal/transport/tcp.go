@@ -203,6 +203,6 @@ func (e *tcpEndpoint) Send(to int, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("transport: send %d->%d: %w", e.id, to, err)
 	}
-	e.net.stats.record(e.id, to, len(payload))
+	e.net.stats.record(len(payload))
 	return nil
 }

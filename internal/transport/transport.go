@@ -52,15 +52,11 @@ type Network interface {
 type Stats struct {
 	messages atomic.Int64
 	bytes    atomic.Int64
-	perPair  sync.Map // [2]int -> *atomic.Int64
 }
 
-func (s *Stats) record(from, to, n int) {
+func (s *Stats) record(n int) {
 	s.messages.Add(1)
 	s.bytes.Add(int64(n))
-	key := [2]int{from, to}
-	v, _ := s.perPair.LoadOrStore(key, new(atomic.Int64))
-	v.(*atomic.Int64).Add(1)
 }
 
 // Messages returns the total number of messages sent.
@@ -69,20 +65,13 @@ func (s *Stats) Messages() int64 { return s.messages.Load() }
 // Bytes returns the total payload bytes sent.
 func (s *Stats) Bytes() int64 { return s.bytes.Load() }
 
-// Pair returns the number of messages sent from one endpoint to another.
-func (s *Stats) Pair(from, to int) int64 {
-	if v, ok := s.perPair.Load([2]int{from, to}); ok {
-		return v.(*atomic.Int64).Load()
-	}
-	return 0
-}
-
 // errClosed is returned by Send after Close.
 var errClosed = fmt.Errorf("transport: network closed")
 
 // unboundedQueue is a FIFO of messages with non-blocking enqueue, used to
 // guarantee that monitors can never deadlock on a full channel: the paper's
-// channel model has unbounded capacity.
+// channel model has unbounded capacity. It is the in-memory network's only
+// unbounded buffer; the inboxes its drainers feed are small and fixed.
 type unboundedQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
